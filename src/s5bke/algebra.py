@@ -249,6 +249,12 @@ def from_json(obj: dict) -> tuple[AlgebraicModel, Assignment]:
         assignment = {str(k): int(v) for k, v in obj.get("assignment", {}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebraic model object: {exc}") from exc
-    for name in assignment:
+    for name, value in assignment.items():
         Var(name)
+        # bit_length, not 1 << atoms: atoms is not validated yet
+        if value < 0 or value.bit_length() > atoms:
+            raise ValueError(
+                f"assignment of {name!r} is {value}, not an element of an "
+                f"algebra with {atoms} atoms"
+            )
     return AlgebraicModel(atoms, true_point, k_table, b_table), assignment

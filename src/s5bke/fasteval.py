@@ -2,10 +2,23 @@
 
 Countermodel search and the validity sweeps evaluate the same formula on
 hundreds of thousands of frames.  This module compiles a formula into a
-postorder stack program of bitmask operations and runs it over arrays of
-models, either in a numba-jitted loop or through a vectorized pure-numpy
-path.  Set ``S5BKE_EVAL_BACKEND=numpy`` (or ``numba``) to force one; the
-default is numba when it imports, numpy otherwise.
+postorder stack program of bitmask operations and runs it in one of two
+shapes:
+
+* a :class:`FrameBlock` from the countermodel search: a chunk of frames
+  crossed with a grid of assignments.  On a full-powerset frame ``K`` and
+  ``B`` are maps from propositions to propositions, so the block carries
+  each frame's image tables and the numpy interpreter turns ``K``/``B``
+  into a gather.  Operands are ``(1, assignments)`` while they do not
+  depend on the frame (variables, purely propositional or ``[]``
+  subformulas) and ``(frames, assignments)`` once they do; numpy
+  broadcasting mixes the two.  Masks are ``uint8`` because the search
+  stops at four worlds.
+* a :class:`FrameBatch` of arbitrary models, one row each (validity
+  sweeps, selftest), evaluated by :func:`eval_batch` in a numba-jitted
+  loop or through a vectorized pure-numpy path.  Set
+  ``S5BKE_EVAL_BACKEND=numpy`` (or ``numba``) to force one; the default
+  is numba when it imports, numpy otherwise.
 
 Only frames whose proposition family is the full powerset are supported
 here; that is the only kind the search space contains.
@@ -15,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -115,6 +128,29 @@ class FrameBatch:
 
     def __len__(self) -> int:
         return self.core_k.shape[0]
+
+
+@dataclass(frozen=True)
+class FrameBlock:
+    """Frames crossed with assignments, for one world count and designated
+    world.  Row ``f * A + a`` is frame ``f`` under assignment column ``a``,
+    where ``A`` is the number of assignment columns.
+
+    ``k_table[f, s]`` is the set of worlds where proposition ``s`` is known
+    in frame ``f``; ``b_table`` likewise for belief.  The tables fix the
+    frame: the core at a world is the least proposition known (believed)
+    there.
+    """
+
+    worlds: int
+    designated: int
+    k_table: np.ndarray  # (F, 2**worlds) uint8
+    b_table: np.ndarray  # (F, 2**worlds) uint8
+    assign: np.ndarray   # (len(variables), A) uint8, shared by every frame
+    variables: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return self.k_table.shape[0] * self.assign.shape[1]
 
 
 def batch_models(
@@ -244,9 +280,51 @@ def eval_batch(
     )
 
 
+def _eval_block(code: np.ndarray, block: FrameBlock) -> np.ndarray:
+    """Denotations on a block, ``(1, A)`` if frame-independent else ``(F, A)``."""
+    full = np.uint8((1 << block.worlds) - 1)
+    offsets = None  # start of each frame's row in the flattened tables
+    stack: list[np.ndarray] = []
+    for op, arg in code.tolist():
+        if op == OP_VAR:
+            stack.append(block.assign[arg : arg + 1])
+        elif op == OP_BOT:
+            stack.append(np.zeros((1, block.assign.shape[1]), dtype=np.uint8))
+        elif op == OP_NEG:
+            stack[-1] = stack[-1] ^ full
+        elif op == OP_IMPL:
+            b = stack.pop()
+            stack[-1] = (stack[-1] ^ full) | b
+        elif op == OP_BOX:
+            stack[-1] = (stack[-1] == full) * full
+        else:
+            table = block.k_table if op == OP_K else block.b_table
+            a = stack[-1]
+            if a.shape[0] == 1:
+                stack[-1] = table[:, a[0]]
+            else:
+                if offsets is None:
+                    offsets = np.arange(0, table.size, table.shape[1], dtype=np.intp)
+                    offsets = offsets[:, None]
+                stack[-1] = table.ravel().take(a + offsets)
+    return stack[0]
+
+
 def satisfied_at_designated(
-    program: Program, batch: FrameBatch, backend: Optional[str] = None
+    program: Program, batch: Union[FrameBatch, FrameBlock]
 ) -> np.ndarray:
-    """Boolean array: formula true at each model's designated world."""
-    den = eval_batch(program, batch, backend)
+    """Boolean array: formula true at each model's designated world.
+
+    Blocks are evaluated by the table-driven numpy interpreter, batches by
+    :func:`eval_batch` on the default backend.
+    """
+    if isinstance(batch, FrameBlock):
+        if batch.variables != program.variables:
+            raise ValueError("program and block disagree on variable order")
+        den = _eval_block(program.code, batch)
+        hit = (den & np.uint8(1 << batch.designated)) != 0
+        if hit.shape[0] != len(batch.k_table):
+            hit = np.broadcast_to(hit, (len(batch.k_table), hit.shape[1]))
+        return hit.ravel()
+    den = eval_batch(program, batch)
     return ((den >> batch.designated) & 1).astype(bool)

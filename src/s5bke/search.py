@@ -4,9 +4,19 @@ The enumerator factorizes the per-world evidence filters into principal
 cores (the knowledge core contains its world; the belief core is a
 nonempty subset of the knowledge core), which shrinks the space to a
 cartesian product of per-world core pairs times assignments.  Countermodel
-search walks that space in a fixed lexicographic order, evaluating the
-query in batches through the compiled-program kernels, so parallel or
-vectorized runs return the same first witness a sequential scan would.
+search walks that space in a fixed lexicographic order -- world count,
+designated world, frame combo, assignment -- so it returns the same first
+witness a sequential scan would.
+
+It walks the space in blocks: a run of frames crossed with a grid of
+assignments shared by all of them.  On a full-powerset frame knowledge
+and belief are maps from propositions to propositions, so each frame
+enters a block as its ``K`` and ``B`` image tables (an algebra's
+``K_table``/``B_table``), built by summing one precomputed contribution
+table per world, picked by that world's core pair.  The kernel in
+:mod:`fasteval` then evaluates a formula once per (frame, assignment),
+broadcasting frame-independent subformulas over the frames and gathering
+``K``/``B`` from the tables, and reads the designated world's bit.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -24,6 +34,7 @@ from .errors import GuardViolation
 from .frames import Frame, FrameModel
 from .syntax import B, Bot, Box, Formula, Impl, K, Neg, Var, variables
 
+# The search's blocks hold world sets as uint8, so at most 8 worlds.
 MAX_EXHAUSTIVE_WORLDS = 4
 MAX_RANDOM_WORLDS = frames.MAX_FULL_WORLDS
 MAX_FORMULA_DEPTH = 8
@@ -101,57 +112,96 @@ def enumerate_frames(
                     yield FrameModel(frame, dict(zip(var_order, assign)))
 
 
+def _digits(index, radix: int, count: int) -> list:
+    """Base-``radix`` digits of ``index``, most significant first."""
+    return [(index // radix ** (count - 1 - i)) % radix for i in range(count)]
+
+
+def _frame_tables(
+    pairs: list[np.ndarray], worlds: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """K and B image tables of every combo of core pairs on ``worlds``.
+
+    Combos are in enumeration order; a frame's table is the sum over its
+    worlds of ``((s & core) == core) << w`` for every proposition ``s``.
+    """
+    p = len(pairs[0])
+    props = np.arange(1 << len(pairs), dtype=np.uint8)
+    tables = np.zeros((2, p ** len(worlds), props.size), dtype=np.uint8)
+    for w, digit in zip(worlds, _digits(np.arange(p ** len(worlds)), p, len(worlds))):
+        cores = pairs[w][digit].T[:, :, None]
+        tables += ((props & cores) == cores).astype(np.uint8) << w
+    return tables[0], tables[1]
+
+
 def _enumerate_batches(
     bounds: SearchBounds, var_order: tuple[str, ...]
-) -> Iterator[fasteval.FrameBatch]:
-    """Array form of :func:`enumerate_frames`, in the identical order."""
+) -> Iterator[fasteval.FrameBlock]:
+    """Blocks of :func:`enumerate_frames`, in the identical order.
+
+    A block is a run of frame combos crossed with a run of assignments:
+    all of them when the slice has at most ``_BATCH_ROWS`` assignments,
+    else one frame with the leading variables fixed and the trailing ones
+    spanning their grid.  No block has more than ``_BATCH_ROWS`` rows.
+    """
     _check_exhaustive(bounds)
     nvars = len(var_order)
     for n in range(1, bounds.max_worlds + 1):
-        pair_arrays = []
-        for w in range(n):
-            pairs = np.asarray(_core_pairs(n, w), dtype=np.int64)
-            pair_arrays.append(pairs)
-        p = pair_arrays[0].shape[0]
-        n_assign = (1 << n) ** nvars
-        total = p**n * n_assign
+        radix = 1 << n
+        pairs = [np.asarray(_core_pairs(n, w), dtype=np.uint8) for w in range(n)]
+        p = len(pairs[0])
+        # A combo's tables are those of its leading worlds plus those of
+        # its trailing worlds, each precomputed for every combo of its own.
+        split = n // 2
+        lead_k, lead_b = _frame_tables(pairs, range(split))
+        trail_k, trail_b = _frame_tables(pairs, range(split, n))
+        spanned = nvars
+        while radix**spanned > _BATCH_ROWS:
+            spanned -= 1
+        fixed = nvars - spanned
+        grid = np.array(
+            _digits(np.arange(radix**spanned), radix, spanned), dtype=np.uint8
+        ).reshape(spanned, radix**spanned)
+        frames_per_block = max(1, _BATCH_ROWS // radix**nvars)
         for w_t in range(n):
-            for start in range(0, total, _BATCH_ROWS):
-                rows = np.arange(start, min(start + _BATCH_ROWS, total), dtype=np.int64)
-                combo = rows // n_assign
-                aidx = rows % n_assign
-                core_k = np.empty((rows.size, n), dtype=np.int64)
-                core_b = np.empty((rows.size, n), dtype=np.int64)
-                for w in range(n):
-                    digit = (combo // p ** (n - 1 - w)) % p
-                    core_k[:, w] = pair_arrays[w][digit, 0]
-                    core_b[:, w] = pair_arrays[w][digit, 1]
-                assign = np.empty((rows.size, nvars), dtype=np.int64)
-                for vi in range(nvars):
-                    shift = (1 << n) ** (nvars - 1 - vi)
-                    assign[:, vi] = (aidx // shift) % (1 << n)
-                designated = np.full(rows.size, w_t, dtype=np.int64)
-                yield fasteval.FrameBatch(n, designated, core_k, core_b, assign, var_order)
+            for start in range(0, p**n, frames_per_block):
+                combo = np.arange(start, min(start + frames_per_block, p**n))
+                hi, lo = np.divmod(combo, p ** (n - split))
+                k_table = lead_k.take(hi, axis=0) + trail_k.take(lo, axis=0)
+                b_table = lead_b.take(hi, axis=0) + trail_b.take(lo, axis=0)
+                for prefix in range(radix**fixed):
+                    assign = grid
+                    if fixed:
+                        assign = np.empty((nvars, grid.shape[1]), dtype=np.uint8)
+                        assign[:fixed] = np.array(_digits(prefix, radix, fixed))[:, None]
+                        assign[fixed:] = grid
+                    yield fasteval.FrameBlock(n, w_t, k_table, b_table, assign, var_order)
 
 
-def _model_from_batch_row(batch: fasteval.FrameBatch, row: int) -> FrameModel:
+def _core(image: np.ndarray, w: int) -> int:
+    """Least proposition whose image contains ``w``: the core at ``w``."""
+    core = image.size - 1
+    for s, worlds in enumerate(image.tolist()):
+        if (worlds >> w) & 1:
+            core &= s
+    return core
+
+
+def _model_from_batch_row(batch: fasteval.FrameBlock, row: int) -> FrameModel:
+    f, a = divmod(row, batch.assign.shape[1])
     frame = Frame(
         world_count=batch.worlds,
-        designated=int(batch.designated[row]),
-        core_K=tuple(int(v) for v in batch.core_k[row]),
-        core_B=tuple(int(v) for v in batch.core_b[row]),
+        designated=batch.designated,
+        core_K=tuple(_core(batch.k_table[f], w) for w in range(batch.worlds)),
+        core_B=tuple(_core(batch.b_table[f], w) for w in range(batch.worlds)),
     )
-    assignment = {
-        name: int(batch.assign[row, j]) for j, name in enumerate(batch.variables)
-    }
-    return FrameModel(frame, assignment)
+    return FrameModel(frame, dict(zip(batch.variables, batch.assign[:, a].tolist())))
 
 
 def find_countermodel(
     premises: Sequence[Formula],
     goal: Formula,
     bounds: SearchBounds = SearchBounds(),
-    backend: Optional[str] = None,
 ) -> CountermodelReport:
     """First enumerated model satisfying the premises and refuting the goal.
 
@@ -170,11 +220,11 @@ def find_countermodel(
     premise_progs = [fasteval.compile_formula(p, var_order) for p in premises]
     examined = 0
     for batch in _enumerate_batches(bounds, var_order):
-        hit = ~fasteval.satisfied_at_designated(goal_prog, batch, backend)
+        hit = ~fasteval.satisfied_at_designated(goal_prog, batch)
         for prog in premise_progs:
             if not hit.any():
                 break
-            hit &= fasteval.satisfied_at_designated(prog, batch, backend)
+            hit &= fasteval.satisfied_at_designated(prog, batch)
         if hit.any():
             row = int(np.argmax(hit))
             model = _model_from_batch_row(batch, row)

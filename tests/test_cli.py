@@ -90,6 +90,16 @@ class TestEval:
         )
         assert code == 2
 
+    def test_algebra_assignment_outside_algebra(self, tmp_path, capsys):
+        obj = {"atoms": 1, "true_point": 0, "K": [0, 1], "B": [0, 1],
+               "assignment": {"x": 7}}
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert cli.run(["eval", "--kind", "algebra", str(path), "x"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'x'" in err
+        assert cli.run(["translate", str(path)]) == 2
+
     def test_invalid_model_lists_violations(self, tmp_path, capsys):
         obj = {"worlds": 2, "designated": 0, "propositions": "full",
                "core_K": [2, 2], "core_B": [2, 2], "assignment": {"x": 1}}

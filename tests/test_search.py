@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
+from s5bke import fasteval, search
 from s5bke.errors import GuardViolation
-from s5bke.frames import models, satisfies_at, validate_frame
+from s5bke.frames import Frame, FrameModel, models, satisfies_at, validate_frame
 from s5bke.kernel import scheme_examples
 from s5bke.search import (
     Found,
@@ -93,6 +95,63 @@ class TestEnumeration:
         assert pure == replayed
 
 
+    @pytest.mark.parametrize("rows", [256, 48])
+    def test_blocks_agree_with_recursive_reference(self, monkeypatch, rows):
+        # a small cap gives many blocks: several frames per block at 256
+        # rows, the assignment axis chunked at 48
+        monkeypatch.setattr(search, "_BATCH_ROWS", rows)
+        blocks = [
+            b
+            for i, b in enumerate(_enumerate_batches(SearchBounds(max_worlds=3), VARS2))
+            if b.worlds < 3 or i % 211 == 0
+        ]
+        assert {b.worlds for b in blocks} == {1, 2, 3}
+        for seed in range(12):
+            f = random_formula(seed, 4, list(VARS2))
+            program = fasteval.compile_formula(f, VARS2)
+            for block in blocks:
+                sat = fasteval.satisfied_at_designated(program, block)
+                assert sat.shape == (len(block),)
+                for row in range(len(block)):
+                    km = _model_from_batch_row(block, row)
+                    assert sat[row] == satisfies_at(km, km.frame.designated, f)
+
+    def test_blocks_respect_the_row_cap(self):
+        names = ("a", "b", "c", "d", "e", "f")
+        bounds = SearchBounds(max_worlds=3, max_variables=6)
+        sizes = [len(b) for b in _enumerate_batches(bounds, names)]
+        assert max(sizes) <= search._BATCH_ROWS
+        assert sum(sizes) == sum(census(n, 6) for n in (1, 2, 3))
+
+        def replayed():
+            for batch in _enumerate_batches(bounds, names):
+                for row in range(len(batch)):
+                    yield _model_from_batch_row(batch, row)
+
+        count = 200_000
+        assert list(itertools.islice(replayed(), count)) == list(
+            itertools.islice(enumerate_frames(bounds, names), count)
+        )
+
+    def test_chunked_assignments_replay_the_same_order(self, monkeypatch):
+        # 512 assignments per frame, 64 per block: crosses frame boundaries
+        monkeypatch.setattr(search, "_BATCH_ROWS", 100)
+        bounds = SearchBounds(max_worlds=3)
+        names = ("x", "y", "z")
+        replayed = (
+            _model_from_batch_row(batch, row)
+            for batch in _enumerate_batches(bounds, names)
+            for row in range(len(batch))
+        )
+        count = 20_000
+        assert list(itertools.islice(replayed, count)) == list(
+            itertools.islice(enumerate_frames(bounds, names), count)
+        )
+
+
+VARS2 = ("x", "y")
+
+
 def _sequential_reference_search(premises, goal, bounds):
     """Naive oracle: scan the enumerator directly with the recursive evaluator."""
     from s5bke.syntax import variables as fvars
@@ -159,6 +218,29 @@ class TestFindCountermodel:
                 assert report.model == reference
             else:
                 assert report.models_examined == reference
+
+    @pytest.mark.parametrize(
+        "goal_text,premise_texts,core_b,trace",
+        [
+            ("~(x & ~K x & <>(x & K x) & <>(~x & B ~x) & <>(~x & ~B ~x))", [],
+             (1, 2, 4, 1), (False, True, True, True)),
+            ("~(x & B~x & <>(x & K x) & <>(~x & B ~x) & <>(~x & ~B ~x))", [],
+             (2, 2, 4, 1), (False, True, True, True)),
+            ("~(<>(x & K x) & <>(~x & B ~x) & <>(~x & ~B ~x))", ["x & B~x"],
+             (2, 2, 4, 1), (False, False, False, False)),
+        ],
+    )
+    def test_first_four_world_witnesses_pinned(
+        self, goal_text, premise_texts, core_b, trace
+    ):
+        # recorded from the row-per-model search this one replaced; the
+        # sequential reference is too slow to reach the 4-world slice
+        report = find_countermodel(
+            [parse(p) for p in premise_texts], parse(goal_text), SearchBounds(max_worlds=4)
+        )
+        assert report == Found(
+            FrameModel(Frame(4, 0, (3, 2, 4, 9), core_b), {"x": 5}), trace
+        )
 
     def test_known_refutations(self):
         for text in (
