@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MalformedTable, SizeLimitExceeded, UnboundVariable, Violation
 from .frames import Frame, FrameModel
-from .syntax import B, Bot, Box, Formula, Impl, K, Neg, Var
+from .syntax import B, Bot, Box, Formula, Impl, K, Neg, Var, check_var_name
 
 MAX_ATOMS = 16
 
@@ -250,7 +250,7 @@ def from_json(obj: dict) -> tuple[AlgebraicModel, Assignment]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed algebraic model object: {exc}") from exc
     for name, value in assignment.items():
-        Var(name)
+        check_var_name(name)
         # bit_length, not 1 << atoms: atoms is not validated yet
         if value < 0 or value.bit_length() > atoms:
             raise ValueError(

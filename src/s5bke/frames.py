@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DuplicatePropositions, SizeLimitExceeded, UnboundVariable, Violation
-from .syntax import B, Bot, Box, Formula, Impl, K, Neg, Var
+from .syntax import B, Bot, Box, Formula, Impl, K, Neg, Var, check_var_name
 
 MAX_FULL_WORLDS = 12
 MAX_EXPLICIT_PROPS = 4096
@@ -64,7 +64,7 @@ class FrameModel:
     def __post_init__(self) -> None:
         full = self.frame.full_mask
         for name, mask in self.assignment.items():
-            Var(name)  # name validity
+            check_var_name(name)
             if not 0 <= mask <= full:
                 raise ValueError(f"assignment of {name!r} is not a world set")
 

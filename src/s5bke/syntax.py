@@ -22,6 +22,17 @@ _VAR_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 # Maximum number of distinct abstraction atoms the tautology oracle accepts.
 ATOM_LIMIT = 20
 
+# Deepest nesting the parser accepts.  The parser and the recursive
+# evaluators, printers and matchers spend stack frames per level, so
+# anything deeper would end in a RecursionError instead of a ParseError.
+MAX_NESTING = 100
+
+
+def check_var_name(name: str) -> None:
+    """Raise ValueError unless ``name`` is a valid variable name."""
+    if not _VAR_RE.match(name) or name in RESERVED_WORDS:
+        raise ValueError(f"invalid variable name: {name!r}")
+
 
 class Formula:
     """Base class of the seven core AST node kinds."""
@@ -37,8 +48,7 @@ class Var(Formula):
     name: str
 
     def __post_init__(self) -> None:
-        if not _VAR_RE.match(self.name) or self.name in RESERVED_WORDS:
-            raise ValueError(f"invalid variable name: {self.name!r}")
+        check_var_name(self.name)
 
 
 @dataclass(frozen=True)
@@ -162,11 +172,20 @@ class _Parser:
     Precedence, tightest first: unary prefixes ``~ [] <> K B``, then
     ``&`` (left), ``|`` (left), ``->`` (right), and ``<->`` / ``==``
     (non-associative, lowest).  All sugar is eliminated during parsing.
+    Each prefix, parenthesis and binary operator (of a chain, too) opens
+    one nesting level; past ``MAX_NESTING`` levels parsing stops with a
+    :class:`ParseError`.
     """
 
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.span)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -202,43 +221,54 @@ class _Parser:
 
     def parse_impl(self) -> Formula:
         left = self.parse_or()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            return Impl(left, self.parse_impl())
-        return left
+        tok = self.peek()
+        if tok.kind != "ARROW":
+            return left
+        self.advance()
+        self.nest(tok)
+        right = self.parse_impl()
+        self.depth -= 1
+        return Impl(left, right)
 
     def parse_or(self) -> Formula:
+        # each operator of a left-associative chain nests the result one
+        # level deeper
+        depth = self.depth
         f = self.parse_and()
-        while self.peek().kind == "OR":
+        while (tok := self.peek()).kind == "OR":
             self.advance()
+            self.nest(tok)
             f = Impl(Neg(f), self.parse_and())
+        self.depth = depth
         return f
 
     def parse_and(self) -> Formula:
+        depth = self.depth
         f = self.parse_unary()
-        while self.peek().kind == "AND":
+        while (tok := self.peek()).kind == "AND":
             self.advance()
+            self.nest(tok)
             f = Neg(Impl(f, Neg(self.parse_unary())))
+        self.depth = depth
         return f
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
+        if tok.kind not in ("NEG", "BOX", "DIAMOND", "KOP", "BOP"):
+            return self.parse_atom()
+        self.advance()
+        self.nest(tok)
+        sub = self.parse_unary()
+        self.depth -= 1
         if tok.kind == "NEG":
-            self.advance()
-            return Neg(self.parse_unary())
+            return Neg(sub)
         if tok.kind == "BOX":
-            self.advance()
-            return Box(self.parse_unary())
+            return Box(sub)
         if tok.kind == "DIAMOND":
-            self.advance()
-            return Neg(Box(Neg(self.parse_unary())))
+            return Neg(Box(Neg(sub)))
         if tok.kind == "KOP":
-            self.advance()
-            return K(self.parse_unary())
-        if tok.kind == "BOP":
-            self.advance()
-            return B(self.parse_unary())
-        return self.parse_atom()
+            return K(sub)
+        return B(sub)
 
     def parse_atom(self) -> Formula:
         tok = self.advance()
@@ -249,10 +279,12 @@ class _Parser:
         if tok.kind == "TOP":
             return Neg(Bot())
         if tok.kind == "LPAR":
+            self.nest(tok)
             f = self.parse_iff()
             closing = self.advance()
             if closing.kind != "RPAR":
                 raise ParseError("unbalanced parenthesis", closing.span)
+            self.depth -= 1
             return f
         if tok.kind == "EOF":
             raise ParseError("unexpected end of input", tok.span)
@@ -321,46 +353,123 @@ def variables(f: Formula) -> frozenset[str]:
     return frozenset(out)
 
 
-def _collect_atoms(f: Formula, atoms: dict[Formula, int]) -> None:
-    # Maximal modal subformulas and variables become opaque atoms;
-    # structurally identical ones share an index.
-    if isinstance(f, (Var, Box, K, B)):
-        atoms.setdefault(f, len(atoms))
-    elif isinstance(f, Neg):
-        _collect_atoms(f.sub, atoms)
-    elif isinstance(f, Impl):
-        _collect_atoms(f.left, atoms)
-        _collect_atoms(f.right, atoms)
+# Valuations per evaluation chunk: 2**_CHUNK_ATOMS.  The lowest
+# _CHUNK_ATOMS atoms vary inside a chunk, every higher atom is constant
+# across it.
+_CHUNK_ATOMS = 14
+
+_ATOM, _BOT, _NEG, _IMPL = range(4)
 
 
-def _eval_abstraction(f: Formula, atoms: dict[Formula, int], valuation: int) -> bool:
-    if isinstance(f, (Var, Box, K, B)):
-        return bool((valuation >> atoms[f]) & 1)
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Neg):
-        return not _eval_abstraction(f.sub, atoms, valuation)
-    if isinstance(f, Impl):
-        return (not _eval_abstraction(f.left, atoms, valuation)) or _eval_abstraction(
-            f.right, atoms, valuation
-        )
-    raise TypeError(f"not a formula: {f!r}")
+def _periodic_masks(count: int) -> list[int]:
+    # Bit v of mask i is bit i of v, over 2**count valuations; each mask
+    # is one period of 2**i zeros then 2**i ones, doubled to full width.
+    width = 1 << count
+    masks = []
+    for i in range(count):
+        period = 2 << i
+        mask = ((1 << (1 << i)) - 1) << (1 << i)
+        while period < width:
+            mask |= mask << period
+            period <<= 1
+        masks.append(mask)
+    return masks
+
+
+_LOW_MASKS = _periodic_masks(_CHUNK_ATOMS)
+
+
+def _compile_abstraction(f: Formula) -> tuple[list[tuple[int, int, int]], int]:
+    """Straight-line program of the boolean abstraction of ``f``.
+
+    Instruction ``n`` computes slot ``n`` as ``(op, a, b)``: atom ``a``,
+    falsum, the negation of slot ``a``, or slot ``a`` implies slot ``b``.
+    Variables and maximal modal subformulas are atoms, numbered by first
+    occurrence, and structurally equal ones share an atom; every other
+    subformula object gets one slot however often it is shared.  Returns
+    the program and the atom count.
+    """
+    program: list[tuple[int, int, int]] = []
+    slots: dict[int, int] = {}  # id(subformula) -> slot
+    atoms: dict[Formula, int] = {}  # atom -> its slot
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in slots:
+            stack.pop()
+            continue
+        if isinstance(g, (Var, Box, K, B)):
+            slot = atoms.get(g)
+            if slot is None:
+                slot = atoms[g] = len(program)
+                program.append((_ATOM, len(atoms) - 1, 0))
+        elif isinstance(g, Bot):
+            slot = len(program)
+            program.append((_BOT, 0, 0))
+        elif isinstance(g, Neg):
+            sub = slots.get(id(g.sub))
+            if sub is None:
+                stack.append(g.sub)
+                continue
+            slot = len(program)
+            program.append((_NEG, sub, 0))
+        elif isinstance(g, Impl):
+            left = slots.get(id(g.left))
+            if left is None:
+                stack.append(g.left)
+                continue
+            right = slots.get(id(g.right))
+            if right is None:
+                stack.append(g.right)
+                continue
+            slot = len(program)
+            program.append((_IMPL, left, right))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        slots[id(g)] = slot
+        stack.pop()
+    return program, len(atoms)
+
+
+def _all_ones(program: list[tuple[int, int, int]], masks: list[int], ones: int) -> bool:
+    values: list[int] = []
+    push = values.append
+    for op, a, b in program:
+        if op == _IMPL:
+            push((ones ^ values[a]) | values[b])
+        elif op == _NEG:
+            push(ones ^ values[a])
+        elif op == _ATOM:
+            push(masks[a])
+        else:
+            push(0)
+    return values[-1] == ones
 
 
 def is_classical_tautology(f: Formula) -> bool:
     """True iff the boolean abstraction of ``f`` is a tautology.
 
     The abstraction maps each variable and each maximal subformula headed
-    by a modal operator to a propositional atom and evaluates all
+    by a modal operator to a propositional atom.  All valuations are
+    evaluated bit-parallel: atom ``i`` is an integer whose bit ``v`` is
+    bit ``i`` of valuation ``v``, in chunks of ``2**_CHUNK_ATOMS``
     valuations.  Raises :class:`AtomLimitExceeded` past ``ATOM_LIMIT``
-    distinct atoms.
+    distinct atoms, before evaluating anything.
     """
-    atoms: dict[Formula, int] = {}
-    _collect_atoms(f, atoms)
-    if len(atoms) > ATOM_LIMIT:
+    program, count = _compile_abstraction(f)
+    if count > ATOM_LIMIT:
         raise AtomLimitExceeded(
-            f"{len(atoms)} abstraction atoms exceed the limit of {ATOM_LIMIT}"
+            f"{count} abstraction atoms exceed the limit of {ATOM_LIMIT}"
         )
+    low = min(count, _CHUNK_ATOMS)
+    ones = (1 << (1 << low)) - 1
+    low_masks = [mask & ones for mask in _LOW_MASKS[:low]]
+    high = count - low
     return all(
-        _eval_abstraction(f, atoms, valuation) for valuation in range(1 << len(atoms))
+        _all_ones(
+            program,
+            low_masks + [ones if chunk >> j & 1 else 0 for j in range(high)],
+            ones,
+        )
+        for chunk in range(1 << high)
     )

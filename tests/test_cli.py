@@ -4,7 +4,7 @@ import pytest
 
 from s5bke import cli, frames
 from s5bke.bundled import model_files, proof_corpus
-from s5bke.syntax import parse
+from s5bke.syntax import MAX_NESTING, parse
 
 
 @pytest.fixture
@@ -151,6 +151,47 @@ class TestCountermodel:
         body = out[out.index("{") : out.rindex("}") + 1]
         km = frames.from_json(json.loads(body))
         assert not frames.models(km, parse("B x -> x"))
+
+
+class TestNesting:
+    @pytest.fixture
+    def argv(self, tmp_path, model_file):
+        def build(command, formula):
+            if command == "countermodel":
+                return ["countermodel", formula]
+            if command == "eval":
+                return ["eval", "--kind", "frame", model_file("m1_frame.json"), formula]
+            path = tmp_path / "deep.prf"
+            path.write_text(f"proof:\n1. {formula} ; ax CL\n", encoding="utf-8")
+            return ["check-proof", str(path)]
+
+        return build
+
+    @pytest.mark.parametrize("command", ["countermodel", "check-proof", "eval"])
+    @pytest.mark.parametrize(
+        "formula",
+        ["~" * 3000 + "x", "(" * 2000 + "x" + ")" * 2000],
+        ids=["neg3000", "paren2000"],
+    )
+    def test_too_deep_is_input_error(self, argv, command, formula, capsys):
+        assert cli.run(argv(command, formula)) == 2
+        err = capsys.readouterr().err
+        assert "nests deeper" in err and "Traceback" not in err
+
+    # exactly MAX_NESTING levels: each prefix and parenthesis is one, the
+    # arrow one more
+    @pytest.mark.parametrize("command", ["countermodel", "check-proof", "eval"])
+    @pytest.mark.parametrize(
+        "formula, code",
+        [
+            ("~" * (MAX_NESTING - 2) + "(x -> x)", 0),
+            ("(" * (MAX_NESTING - 1) + "x -> x" + ")" * (MAX_NESTING - 1), 0),
+            ("~" * (MAX_NESTING - 1) + "x", 1),
+        ],
+        ids=["neg", "paren", "odd-neg"],
+    )
+    def test_at_the_bound_gives_a_verdict(self, argv, command, formula, code, capsys):
+        assert cli.run(argv(command, formula)) == code
 
 
 class TestTranslate:

@@ -45,6 +45,11 @@ class TestFrameConstruction:
         with pytest.raises(ValueError):
             FrameModel(Frame(1, 0, (1,), (1,)), {"x": 2})
 
+    def test_assignment_names_validated(self):
+        for name in ("K", "1x"):
+            with pytest.raises(ValueError, match="invalid variable name"):
+                FrameModel(Frame(1, 0, (1,), (1,)), {name: 1})
+
 
 class TestValidateFrame:
     def test_reflexive_singleton_cores_valid(self):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 
 from s5bke.errors import AtomLimitExceeded, ParseError
 from s5bke.syntax import (
+    MAX_NESTING,
     B,
     Bot,
     Box,
@@ -108,6 +110,19 @@ class TestParse:
         assert parse("[]x ->  # evidence\n   K x") == Impl(Box(x), K(x))
         assert parse("\tK\nx") == K(x)
 
+    @pytest.mark.parametrize(
+        "opening, closing, levels",
+        [
+            ("~", "", 1), ("(", ")", 1), ("<>", "", 1), ("K (", ")", 2),
+            ("x -> ", "", 1), ("x & ", "", 1), ("x | ", "", 1),
+        ],
+    )
+    def test_nesting_bound(self, opening, closing, levels):
+        count = MAX_NESTING // levels
+        parse(opening * count + "x" + closing * count)
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(opening * (count + 1) + "x" + closing * (count + 1))
+
 
 class TestPrint:
     def test_canonical_forms(self):
@@ -183,6 +198,51 @@ def _truth_table_tautology(f):
     )
 
 
+def _collect_atoms(f, atoms):
+    if isinstance(f, (Var, Box, K, B)):
+        atoms.setdefault(f, len(atoms))
+    elif isinstance(f, Neg):
+        _collect_atoms(f.sub, atoms)
+    elif isinstance(f, Impl):
+        _collect_atoms(f.left, atoms)
+        _collect_atoms(f.right, atoms)
+
+
+def _eval_abstraction(f, atoms, valuation):
+    if isinstance(f, (Var, Box, K, B)):
+        return bool((valuation >> atoms[f]) & 1)
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Neg):
+        return not _eval_abstraction(f.sub, atoms, valuation)
+    if isinstance(f, Impl):
+        return (not _eval_abstraction(f.left, atoms, valuation)) or _eval_abstraction(
+            f.right, atoms, valuation
+        )
+    raise TypeError(f)
+
+
+def _reference_tautology(f):
+    """Reference oracle: one recursive evaluation of the boolean
+    abstraction per valuation."""
+    atoms = {}
+    _collect_atoms(f, atoms)
+    return all(
+        _eval_abstraction(f, atoms, valuation) for valuation in range(1 << len(atoms))
+    )
+
+
+def _wide_atoms(count):
+    # variables and modal atoms alternate
+    return [K(Var(f"v{i}")) if i % 2 else Var(f"v{i}") for i in range(count)]
+
+
+def _false_only_at(atoms, valuation):
+    """Negated conjunction of literals: false exactly at ``valuation``."""
+    literals = [a if valuation >> i & 1 else Neg(a) for i, a in enumerate(atoms)]
+    return Neg(functools.reduce(conj, literals))
+
+
 class TestClassicalTautology:
     def test_examples(self):
         assert is_classical_tautology(parse("K x -> K x"))
@@ -200,11 +260,35 @@ class TestClassicalTautology:
     def test_agrees_with_direct_truth_table(self, f):
         assert is_classical_tautology(f) == _truth_table_tautology(f)
 
+    @given(formulas)
+    def test_agrees_with_reference(self, f):
+        assert is_classical_tautology(f) == _reference_tautology(f)
+
+    @pytest.mark.parametrize("count", [13, 14, 15, 19, 20])
+    def test_wide_exact(self, count):
+        # 2**14 valuations per chunk: 13 and 14 atoms fit in one chunk, 15
+        # and more span several, 20 is the limit.  The falsifying
+        # valuations include the first and the last one of the first chunk
+        # and the last one of all (every atom true).
+        atoms = _wide_atoms(count)
+        assert is_classical_tautology(Impl(functools.reduce(conj, atoms), atoms[-1]))
+        full = (1 << count) - 1
+        for valuation in (0, full & ((1 << 14) - 1), 1 << (count - 1), full >> 1, full):
+            assert not is_classical_tautology(_false_only_at(atoms, valuation))
+
+    def test_deep_negation_chain(self):
+        f = Impl(x, x)
+        for _ in range(10_000):
+            f = Neg(f)
+        assert is_classical_tautology(f)
+
     def test_atom_limit(self):
         f = Var("v0")
         for i in range(1, 21):
             f = Impl(Var(f"v{i}"), f)
-        with pytest.raises(AtomLimitExceeded):
+        with pytest.raises(
+            AtomLimitExceeded, match="21 abstraction atoms exceed the limit of 20"
+        ):
             is_classical_tautology(f)
         # one fewer atom is fine
         g = Var("v1")
